@@ -12,12 +12,14 @@ use crate::moves::{
     Candidate, Move,
 };
 use crate::transact::{UndoLog, UndoMark};
-use hsyn_dfg::NodeKind;
+use hsyn_dfg::{DfgId, Hierarchy, NodeKind};
 use hsyn_lint::{error_count, verify_design, DesignView, Diagnostic, Severity};
 use hsyn_power::{dsp_default, TraceSet};
 use hsyn_rtl::{
-    fingerprint_at, fingerprint_tree, refresh_fingerprint_tree, window_of, FpTree, ModuleLibrary,
+    dfg_fingerprint, fingerprint_at, fingerprint_tree, module_fingerprint,
+    refresh_fingerprint_tree, window_of, FpTree, ModuleLibrary,
 };
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -155,6 +157,112 @@ impl MoveStats {
         self.lns_ruins += other.lns_ruins;
         self.lns_accepts += other.lns_accepts;
     }
+
+    /// Merge the counters a nested move-*B* search contributes to its
+    /// parent: evaluation and rollback work, but no commits, passes or
+    /// configurations (those describe the child's own search).
+    fn absorb_child(&mut self, child: &MoveStats) {
+        self.evaluated += child.evaluated;
+        self.rejected += child.rejected;
+        self.eval_cache_hits += child.eval_cache_hits;
+        self.eval_cache_misses += child.eval_cache_misses;
+        self.moves_rolled_back += child.moves_rolled_back;
+        self.undo_bytes_peak = self.undo_bytes_peak.max(child.undo_bytes_peak);
+    }
+}
+
+/// Everything a nested move-*B* resynthesis depends on. Two requests with
+/// equal keys run the identical inner search — same initial module, same
+/// traces, same budgets — so they end in the same child and the same
+/// counters (see DESIGN.md, "Resynthesis memo").
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct ResynthKey {
+    /// The callee resynthesized; names the `_resyn` module and selects the
+    /// library's complex-module candidates and the child's trace seed.
+    callee: DfgId,
+    /// Content of the callee's DFG, nested callees and memory shapes
+    /// included — the parts moves edit in place (callee swaps, rebanking).
+    content: u64,
+    /// Ids of the nested callees in call order: the child's module tree
+    /// refers to DFGs by id, which content alone does not pin down.
+    nested: Vec<DfgId>,
+    /// The derived window, relative to the child's start.
+    arrivals: Option<Vec<u32>>,
+    deadlines: Option<Vec<u32>>,
+    /// [`OperatingPoint`] fields as bits.
+    op: [u64; 4],
+    /// Remaining recursion budget; with the top-level configuration it
+    /// fixes the child budget (`child_budget` applied `depth` times over).
+    depth: u32,
+}
+
+/// A finished nested resynthesis: the child (with its search cost bits)
+/// or `None` when it was rejected, plus the inner search's counters.
+#[derive(Clone, Debug)]
+struct ResynthEntry {
+    child: Option<(ChildKind, u64)>,
+    stats: MoveStats,
+}
+
+/// Per-engine-tree memo of move-*B* resynthesis results.
+///
+/// One top-level [`Engine`] owns it; nested engines borrow it by move for
+/// the duration of their search, and every parallel-scan worker keeps its
+/// own. Entries are pure functions of their key, so which engine or thread
+/// filled one never shows in a result.
+#[derive(Debug, Default)]
+pub(crate) struct ResynthMemo {
+    entries: HashMap<ResynthKey, ResynthEntry>,
+    /// Requests answered from `entries`.
+    pub(crate) hits: u64,
+    /// Requests that ran a nested search.
+    pub(crate) misses: u64,
+}
+
+/// `id`'s nested callees, depth-first in node order (repeats kept).
+fn nested_callees(h: &Hierarchy, id: DfgId, out: &mut Vec<DfgId>) {
+    for (_, n) in h.dfg(id).nodes() {
+        if let NodeKind::Hier { callee } = n.kind() {
+            out.push(*callee);
+            nested_callees(h, *callee, out);
+        }
+    }
+}
+
+/// Structural fingerprint of a child implementation (names excluded).
+fn child_fingerprint(h: &Hierarchy, kind: &ChildKind) -> u64 {
+    match kind {
+        ChildKind::Single(s) => module_fingerprint(h, &s.built),
+        ChildKind::Opaque { module, .. } => module_fingerprint(h, module),
+    }
+}
+
+/// Shadow-mode check of a memo hit: the stored entry must equal a fresh
+/// recomputation — child fingerprint, cost bits and counters.
+///
+/// # Panics
+///
+/// Panics on the first difference, naming the callee.
+fn assert_memo_identical(
+    h: &Hierarchy,
+    callee: DfgId,
+    stored: &ResynthEntry,
+    fresh: &ResynthEntry,
+) {
+    let summary = |e: &ResynthEntry| {
+        e.child
+            .as_ref()
+            .map(|(kind, cost)| (child_fingerprint(h, kind), *cost))
+    };
+    let (s, f) = (summary(stored), summary(fresh));
+    assert!(
+        s == f && stored.stats == fresh.stats,
+        "resynthesis memo diverged for callee `{}`: stored (fingerprint, cost bits) {s:x?} \
+         with {:?} != recomputed {f:x?} with {:?}",
+        h.dfg(callee).name(),
+        stored.stats,
+        fresh.stats
+    );
 }
 
 /// A worker's speculation outcome for one candidate in the parallel scan,
@@ -268,6 +376,11 @@ pub(crate) struct Engine<'a> {
     /// serial scan's candidates). Empty until the first parallel scan runs;
     /// cache contents affect wall-clock only, never results.
     intra_caches: Vec<EvalCache>,
+    /// Move-*B* resynthesis memo; lent to nested engines while they run.
+    memo: ResynthMemo,
+    /// Per-worker memos of the parallel scan, persisted across scans like
+    /// `intra_caches`.
+    intra_memos: Vec<ResynthMemo>,
 }
 
 impl<'a> Engine<'a> {
@@ -290,7 +403,17 @@ impl<'a> Engine<'a> {
             apply_s: 0.0,
             lns_s: 0.0,
             intra_caches: Vec::new(),
+            memo: ResynthMemo::default(),
+            intra_memos: Vec::new(),
         }
+    }
+
+    /// Resynthesis-memo `(hits, misses)` of this engine and its parallel
+    /// scan workers.
+    pub(crate) fn memo_counts(&self) -> (u64, u64) {
+        std::iter::once(&self.memo)
+            .chain(&self.intra_memos)
+            .fold((0, 0), |(h, m), memo| (h + memo.hits, m + memo.misses))
     }
 
     /// Worker threads for the intra-config candidate scan: the
@@ -629,16 +752,20 @@ impl<'a> Engine<'a> {
         let mut caches = std::mem::take(&mut self.intra_caches);
         caches.resize_with(workers, EvalCache::new);
         let cache_slots: Vec<Mutex<EvalCache>> = caches.into_iter().map(Mutex::new).collect();
+        let mut memos = std::mem::take(&mut self.intra_memos);
+        memos.resize_with(workers, ResynthMemo::default);
+        let memo_slots: Vec<Mutex<ResynthMemo>> = memos.into_iter().map(Mutex::new).collect();
         let (mlib, config, depth) = (self.mlib, self.config, self.depth);
         let traces = &self.traces;
         let cand_prefix = &cands[..prefix_len];
         std::thread::scope(|scope| {
             for w in 0..workers {
                 let (next, stop, frontier) = (&next, &stop, &frontier);
-                let (slots, cache_slots) = (&slots, &cache_slots);
+                let (slots, cache_slots, memo_slots) = (&slots, &cache_slots, &memo_slots);
                 scope.spawn(move || {
                     let mut engine = Engine::new(mlib, config, traces.clone(), depth);
                     engine.cache = std::mem::take(&mut *cache_slots[w].lock().expect("cache slot"));
+                    engine.memo = std::mem::take(&mut *memo_slots[w].lock().expect("memo slot"));
                     let mut work = dp.clone();
                     let mut log = UndoLog::new();
                     loop {
@@ -664,12 +791,17 @@ impl<'a> Engine<'a> {
                             .absorb(i, valid, config, stop);
                     }
                     *cache_slots[w].lock().expect("cache slot") = std::mem::take(&mut engine.cache);
+                    *memo_slots[w].lock().expect("memo slot") = std::mem::take(&mut engine.memo);
                 });
             }
         });
         self.intra_caches = cache_slots
             .into_iter()
             .map(|m| m.into_inner().expect("cache slot"))
+            .collect();
+        self.intra_memos = memo_slots
+            .into_iter()
+            .map(|m| m.into_inner().expect("memo slot"))
             .collect();
         // Sequential replay in candidate order: identical budgets, stats
         // merge, and winner selection (strict improvement ⇒ first best
@@ -1031,17 +1163,79 @@ impl<'a> Engine<'a> {
             });
         }
 
-        // Resynthesis: bounded recursive synthesis under the window.
-        let initial = initial_module_with_window(
+        // Resynthesis: bounded recursive synthesis under the window, run
+        // once per distinct key and replayed from the memo afterwards.
+        let h = &dp.hierarchy;
+        let mut nested = Vec::new();
+        nested_callees(h, callee, &mut nested);
+        let key = ResynthKey {
+            callee,
+            content: dfg_fingerprint(h, callee),
+            nested,
+            arrivals,
+            deadlines,
+            op: [
+                dp.op.vdd.to_bits(),
+                dp.op.clk_ref_ns.to_bits(),
+                dp.op.period_ns.to_bits(),
+                u64::from(dp.op.sampling_cycles),
+            ],
+            depth: self.depth,
+        };
+        let entry = match self.memo.entries.get(&key) {
+            Some(stored) => {
+                self.memo.hits += 1;
+                let stored = stored.clone();
+                if self.config.shadow_eval {
+                    // Recompute against an empty memo, so the check does
+                    // not lean on entries it is meant to audit.
+                    if let Some(fresh) = self.run_child(dp, &key, &mut ResynthMemo::default()) {
+                        assert_memo_identical(h, callee, &stored, &fresh);
+                    }
+                }
+                stored
+            }
+            None => {
+                self.memo.misses += 1;
+                let mut memo = std::mem::take(&mut self.memo);
+                let fresh = self.run_child(dp, &key, &mut memo);
+                self.memo = memo;
+                // A cancelled search is not stored; the parent loop
+                // re-checks the token at its next step boundary.
+                let fresh = fresh?;
+                self.memo.entries.insert(key, fresh.clone());
+                fresh
+            }
+        };
+        self.stats.absorb_child(&entry.stats);
+        entry.child.map(|(kind, _)| kind)
+    }
+
+    /// One nested resynthesis search for `key`, lending `memo` to the inner
+    /// engine; `None` when the search was cancelled. The inner engine's
+    /// timers are folded into this engine's; its counters are returned in
+    /// the entry, for the caller to replay.
+    fn run_child(
+        &mut self,
+        dp: &DesignPoint,
+        key: &ResynthKey,
+        memo: &mut ResynthMemo,
+    ) -> Option<ResynthEntry> {
+        let callee = key.callee;
+        let Ok(initial) = initial_module_with_window(
             &dp.hierarchy,
             callee,
             self.mlib,
             &dp.op,
-            arrivals,
-            deadlines,
+            key.arrivals.clone(),
+            key.deadlines.clone(),
             &format!("{}_resyn", dp.hierarchy.dfg(callee).name()),
-        )
-        .ok()?;
+        ) else {
+            return Some(ResynthEntry {
+                child: None,
+                stats: MoveStats::default(),
+            });
+        };
         let in_count = dp.hierarchy.dfg(callee).input_count();
         let child_traces = dsp_default(
             in_count,
@@ -1051,6 +1245,7 @@ impl<'a> Engine<'a> {
         );
         let inner_cfg = self.config.child_budget();
         let mut inner = Engine::new(self.mlib, &inner_cfg, child_traces, self.depth - 1);
+        inner.memo = std::mem::take(memo);
         let child_dp = DesignPoint {
             hierarchy: dp.hierarchy.clone(),
             op: OperatingPoint {
@@ -1061,22 +1256,25 @@ impl<'a> Engine<'a> {
             top: initial,
         };
         let result = inner.optimize(child_dp);
-        self.stats.evaluated += inner.stats.evaluated;
-        self.stats.rejected += inner.stats.rejected;
-        self.stats.eval_cache_hits += inner.stats.eval_cache_hits;
-        self.stats.eval_cache_misses += inner.stats.eval_cache_misses;
-        self.stats.moves_rolled_back += inner.stats.moves_rolled_back;
-        self.stats.undo_bytes_peak = self.stats.undo_bytes_peak.max(inner.stats.undo_bytes_peak);
+        *memo = std::mem::take(&mut inner.memo);
         self.verify_s += inner.verify_s;
         self.eval_full_s += inner.eval_full_s;
         self.eval_incr_s += inner.eval_incr_s;
         self.apply_s += inner.apply_s;
         self.lns_s += inner.lns_s;
-        // A child verifier failure (or a cancellation that tripped inside
-        // the child) simply rejects this move-B candidate; the parent loop
-        // re-checks the cancel token at its next step boundary.
-        let (optimized, _) = result.ok()?;
-        Some(ChildKind::Single(Box::new(optimized.top)))
+        let child = match result {
+            Ok((optimized, eval)) => Some((
+                ChildKind::Single(Box::new(optimized.top)),
+                eval.cost.to_bits(),
+            )),
+            // A child verifier failure simply rejects this move-B candidate.
+            Err(Abort::Paranoid(_)) => None,
+            Err(Abort::Cancelled) => return None,
+        };
+        Some(ResynthEntry {
+            child,
+            stats: inner.stats,
+        })
     }
 }
 
@@ -1210,6 +1408,103 @@ mod tests {
         );
         assert_eq!(tx_engine.stats.moves_rolled_back, 2);
         assert!(log.is_empty(), "scan must roll every speculation back");
+    }
+
+    /// dct's initial design at its first operating point, for move-*B*
+    /// requests against the top module's children.
+    fn dct_fixture() -> (DesignPoint, ModuleLibrary, TraceSet) {
+        let b = benchmarks::dct();
+        let mlib = ModuleLibrary::from_simple(table1_library());
+        let op =
+            OperatingPoint::derive(&mlib.simple, mlib.simple.technology.vref(), 10.0, 10_000.0);
+        let top = initial_solution(&b.hierarchy, &mlib, &op).expect("dct builds");
+        let traces = dsp_default(b.hierarchy.dfg(b.hierarchy.top()).input_count(), 4, 16, 1);
+        let dp = DesignPoint {
+            hierarchy: b.hierarchy.clone(),
+            op,
+            top,
+        };
+        (dp, mlib, traces)
+    }
+
+    #[test]
+    fn cancelled_resynthesis_leaves_no_memo_entry() {
+        let (dp, mlib, traces) = dct_fixture();
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let mut cancelled_cfg = SynthesisConfig::new(Objective::Power);
+        cancelled_cfg.cancel = Some(token);
+        let mut engine = Engine::new(&mlib, &cancelled_cfg, traces.clone(), 1);
+        assert!(engine.resynthesize_child(&dp, &[], 0).is_none());
+        assert_eq!((engine.memo.hits, engine.memo.misses), (0, 1));
+        assert!(
+            engine.memo.entries.is_empty(),
+            "a cancelled search was memoized"
+        );
+
+        // The same request without the token runs, is stored, then hits.
+        let config = SynthesisConfig::new(Objective::Power);
+        let mut engine2 = Engine::new(&mlib, &config, traces, 1);
+        engine2.memo = std::mem::take(&mut engine.memo);
+        let first = engine2
+            .resynthesize_child(&dp, &[], 0)
+            .expect("dct child resynthesizes");
+        let after_miss = engine2.stats;
+        let again = engine2.resynthesize_child(&dp, &[], 0).expect("memo hit");
+        assert_eq!((engine2.memo.hits, engine2.memo.misses), (1, 2));
+        assert_eq!(engine2.memo.entries.len(), 1);
+        assert_eq!(
+            child_fingerprint(&dp.hierarchy, &first),
+            child_fingerprint(&dp.hierarchy, &again)
+        );
+        // The hit replays the miss's counters exactly.
+        assert!(after_miss.evaluated > 0);
+        assert_eq!(engine2.stats.evaluated, 2 * after_miss.evaluated);
+        assert_eq!(
+            engine2.stats.eval_cache_misses,
+            2 * after_miss.eval_cache_misses
+        );
+    }
+
+    /// Every keyed move-*B* request is exactly one memo hit or miss, and
+    /// the requests of a whole search go through the memo at every depth.
+    #[test]
+    fn every_resynthesis_request_is_one_hit_or_miss() {
+        let (dp, mlib, traces) = dct_fixture();
+        let mut config = SynthesisConfig::new(Objective::Power);
+        config.shadow_eval = true;
+        let mut engine = Engine::new(&mlib, &config, traces, config.resynth_depth);
+        let children = dp.top.children.len();
+        for round in 1..=2u64 {
+            for c in 0..children {
+                engine.resynthesize_child(&dp, &[], c);
+            }
+            assert_eq!(
+                engine.memo.hits + engine.memo.misses,
+                round * children as u64
+            );
+        }
+        // The second round asks only keys the first one stored.
+        assert!(engine.memo.hits >= children as u64);
+        let (hits, misses) = engine.memo_counts();
+        engine.optimize(dp).expect("dct optimizes");
+        let (h, m) = engine.memo_counts();
+        assert!(h > hits && m >= misses, "the search itself uses the memo");
+    }
+
+    /// Shadow mode turns a memo entry that no longer matches a fresh
+    /// recomputation into a panic naming the callee.
+    #[test]
+    #[should_panic(expected = "resynthesis memo diverged for callee")]
+    fn memo_divergence_panics() {
+        let (dp, _, _) = dct_fixture();
+        let stored = ResynthEntry {
+            child: None,
+            stats: MoveStats::default(),
+        };
+        let mut fresh = stored.clone();
+        fresh.stats.evaluated = 1;
+        assert_memo_identical(&dp.hierarchy, dp.hierarchy.top(), &stored, &fresh);
     }
 
     /// Shadow mode turns a cache/full divergence into a panic naming the

@@ -102,6 +102,15 @@ pub struct ConfigTelemetry {
     /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json):
     /// it varies with cache state while the result bytes must not.
     pub warm_area_hits: u64,
+    /// Move-*B* resynthesis requests answered from the per-run memo (see
+    /// DESIGN.md, "Resynthesis memo"), nested requests included. Like
+    /// `warm_area_hits`, excluded from
+    /// [`SynthesisReport::result_json`](crate::SynthesisReport::result_json):
+    /// with intra-config workers the split between hits and misses depends
+    /// on which worker speculated which candidate.
+    pub resynth_memo_hits: u64,
+    /// Move-*B* resynthesis requests that ran a nested search.
+    pub resynth_memo_misses: u64,
     /// Wall-clock spent in full (uncached) search evaluations, seconds —
     /// the whole evaluation load with incremental off, the shadow half with
     /// [`SynthesisConfig::shadow_eval`] on.
@@ -437,6 +446,7 @@ pub fn synthesize(
             apply_s: f64,
             lns_s: f64,
             warm_area_hits: u64,
+            resynth_memo: (u64, u64),
         },
         Skipped {
             reason: String,
@@ -513,6 +523,7 @@ pub fn synthesize(
                                 apply_s: engine.apply_s,
                                 lns_s: engine.lns_s,
                                 warm_area_hits: engine.cache.area.warm_hits,
+                                resynth_memo: engine.memo_counts(),
                             },
                         }
                     }
@@ -560,6 +571,7 @@ pub fn synthesize(
                 apply_s,
                 lns_s,
                 warm_area_hits,
+                resynth_memo: (resynth_memo_hits, resynth_memo_misses),
             } => {
                 stats.configs += 1;
                 stats.absorb(&config_stats);
@@ -567,6 +579,8 @@ pub fn synthesize(
                     vdd: op.vdd,
                     clk_ns: op.clk_ref_ns,
                     warm_area_hits,
+                    resynth_memo_hits,
+                    resynth_memo_misses,
                     elapsed_s,
                     verify_s,
                     evaluated: config_stats.evaluated,

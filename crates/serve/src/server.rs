@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -87,6 +87,11 @@ pub struct ServerStats {
     /// Warm area-cache hits across all jobs (entries seeded from the
     /// shared store — work some previous job already paid for).
     pub warm_area_hits: AtomicU64,
+    /// Move-*B* resynthesis requests answered from a job's per-run memo,
+    /// summed over computed jobs.
+    pub resynth_memo_hits: AtomicU64,
+    /// Move-*B* resynthesis requests that ran a nested search.
+    pub resynth_memo_misses: AtomicU64,
     /// Malformed frames / JSON / requests seen.
     pub protocol_errors: AtomicU64,
     /// Current queue depth (gauge).
@@ -163,6 +168,10 @@ struct Ctx {
     draining: AtomicBool,
     /// Set when workers and the accept loop should exit.
     stop: AtomicBool,
+    /// Where a connect reaches the listener: the bound address, with an
+    /// unspecified IP replaced by loopback. Shutdown connects here once to
+    /// wake the blocking `accept`.
+    wake_addr: SocketAddr,
     /// Signalled whenever a job finishes (for the drain wait).
     idle_cv: Condvar,
     idle_mx: Mutex<()>,
@@ -170,11 +179,25 @@ struct Ctx {
     tags: Mutex<HashMap<String, Vec<CancelToken>>>,
     /// One cross-job area store per library name.
     areas: Mutex<HashMap<String, Arc<SharedAreaCache>>>,
+    /// `(libraries, entries)` of the last persisted area snapshot. Stores
+    /// only ever grow, so an unchanged pair means nothing new to write.
+    /// Held across a write, which keeps writers ordered: a later snapshot
+    /// is never overwritten by an earlier one.
+    persisted: Mutex<(usize, usize)>,
     store: Option<DiskStore>,
     started: Instant,
 }
 
 impl Ctx {
+    /// Stop the workers and the accept loop. The listener blocks in
+    /// `accept`, so one throwaway connection wakes it to see `stop`; a
+    /// failed connect only matters if no other client ever connects.
+    fn stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.queue.cv.notify_all();
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(5));
+    }
+
     fn pending_jobs(&self) -> u64 {
         self.stats.queue_depth.load(Ordering::Acquire)
             + self.stats.active_jobs.load(Ordering::Acquire)
@@ -189,19 +212,27 @@ impl Ctx {
             .clone()
     }
 
-    /// Persist the area stores (no-op without a cache directory).
+    /// Persist the area stores (no-op without a cache directory, or when
+    /// no entry was added since the last write).
     fn persist_areas(&self) {
         let Some(store) = &self.store else { return };
+        let mut persisted = self.persisted.lock().expect("persisted poisoned");
         let areas = self.areas.lock().expect("areas poisoned");
+        if (areas.len(), areas.values().map(|s| s.len()).sum()) == *persisted {
+            return;
+        }
         let mut libs: Vec<(String, Vec<_>)> = areas
             .iter()
             .map(|(name, s)| (name.clone(), s.snapshot()))
             .collect();
         drop(areas);
+        let shape = (libs.len(), libs.iter().map(|(_, e)| e.len()).sum());
         libs.sort_by(|a, b| a.0.cmp(&b.0));
         // Persistence is best-effort: a failed write costs warmth, not
         // correctness, and the next job retries it.
-        let _ = store.store_areas(&libs);
+        if store.store_areas(&libs).is_ok() {
+            *persisted = shape;
+        }
     }
 
     fn area_entries(&self) -> u64 {
@@ -230,7 +261,13 @@ impl Server {
     /// Bind failures and cache-directory creation failures.
     pub fn bind(opts: ServeOptions) -> io::Result<Server> {
         let listener = TcpListener::bind(&opts.addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         let store = match &opts.cache_dir {
             Some(dir) => Some(DiskStore::open(dir)?),
             None => None,
@@ -240,10 +277,12 @@ impl Server {
             stats: ServerStats::default(),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            wake_addr,
             idle_cv: Condvar::new(),
             idle_mx: Mutex::new(()),
             tags: Mutex::new(HashMap::new()),
             areas: Mutex::new(HashMap::new()),
+            persisted: Mutex::new((0, 0)),
             store,
             started: Instant::now(),
             opts,
@@ -263,6 +302,9 @@ impl Server {
                 }
                 areas.insert(name, shared);
             }
+            // What was just loaded is what the file holds.
+            *ctx.persisted.lock().expect("persisted poisoned") =
+                (areas.len(), areas.values().map(|s| s.len()).sum());
         }
         Ok(Server { listener, ctx })
     }
@@ -296,22 +338,29 @@ impl Server {
             let ctx = ctx.clone();
             workers.push(std::thread::spawn(move || worker_loop(&ctx)));
         }
-        let mut conns = Vec::new();
-        while !ctx.stop.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    ctx.stats.connections.fetch_add(1, Ordering::AcqRel);
-                    let ctx = ctx.clone();
-                    conns.push(std::thread::spawn(move || connection_loop(&ctx, stream)));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            if ctx.stop.load(Ordering::Acquire) {
+                // The shutdown wake-up (or a peer racing it): dropped
+                // uncounted.
+                break;
             }
+            // Reap finished connection threads so their handles do not
+            // pile up over the daemon's lifetime.
+            let (done, live): (Vec<_>, Vec<_>) = conns.into_iter().partition(|c| c.is_finished());
+            for c in done {
+                let _ = c.join();
+            }
+            conns = live;
+            ctx.stats.connections.fetch_add(1, Ordering::AcqRel);
+            let ctx = ctx.clone();
+            conns.push(std::thread::spawn(move || connection_loop(&ctx, stream)));
         }
-        ctx.queue.cv.notify_all();
         for w in workers {
             let _ = w.join();
         }
@@ -485,8 +534,7 @@ fn dispatch(ctx: &Arc<Ctx>, payload: &[u8], writer: &Arc<Mutex<TcpStream>>) -> b
                     ),
                 ]),
             );
-            ctx.stop.store(true, Ordering::Release);
-            ctx.queue.cv.notify_all();
+            ctx.stop();
             false
         }
         "submit" => {
@@ -628,7 +676,7 @@ fn resolve_library(name: &str) -> Result<Library, String> {
 }
 
 /// Execute one job end to end: job-cache lookup, synthesis with the shared
-/// area store, response, write-through persistence.
+/// area store, job-cache write-through, response, area-store persistence.
 fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
     let seq = item.seq;
     let job = &item.job;
@@ -704,6 +752,14 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
         Ok(report) => {
             let warm: u64 = report.per_config.iter().map(|c| c.warm_area_hits).sum();
             ctx.stats.warm_area_hits.fetch_add(warm, Ordering::AcqRel);
+            for c in &report.per_config {
+                ctx.stats
+                    .resynth_memo_hits
+                    .fetch_add(c.resynth_memo_hits, Ordering::AcqRel);
+                ctx.stats
+                    .resynth_memo_misses
+                    .fetch_add(c.resynth_memo_misses, Ordering::AcqRel);
+            }
             ctx.stats.jobs_served.fetch_add(1, Ordering::AcqRel);
             let mut payload_fields =
                 vec![("result_json".to_owned(), Json::Str(report.result_json()))];
@@ -734,13 +790,16 @@ fn run_job(ctx: &Arc<Ctx>, item: &Queued) {
                 ),
             ];
             fields.extend(payload_fields);
-            send(&item.writer, &Json::Obj(fields));
-            // Write-through both persistent layers after answering.
+            // Write the job cache through before answering: a client may
+            // resubmit the moment the answer arrives, and that repeat must
+            // hit. The area store only warms later jobs; it follows the
+            // answer.
             if let Some(store) = &ctx.store {
                 if !job.no_cache {
                     let _ = store.store_job(&key, &payload);
                 }
             }
+            send(&item.writer, &Json::Obj(fields));
             ctx.persist_areas();
         }
         Err(SynthesisError::Cancelled) => finish_cancelled(ctx, item, seq),
@@ -849,6 +908,14 @@ fn stats_response(ctx: &Arc<Ctx>, seq: Option<f64>) -> Json {
         (
             "warm_area_hits".to_owned(),
             n(s.warm_area_hits.load(Ordering::Acquire)),
+        ),
+        (
+            "resynth_memo_hits".to_owned(),
+            n(s.resynth_memo_hits.load(Ordering::Acquire)),
+        ),
+        (
+            "resynth_memo_misses".to_owned(),
+            n(s.resynth_memo_misses.load(Ordering::Acquire)),
         ),
         (
             "protocol_errors".to_owned(),

@@ -12,18 +12,21 @@
 //!   library. New jobs are seeded from it, so shared submodules (biquads,
 //!   dot-products) hit warm across jobs *and* across daemon restarts.
 //!
-//! Both layers are write-through with atomic rename (write `*.tmp`, then
-//! rename), versioned, and checksummed: a truncated, bit-flipped, or
-//! version-skewed file is detected on load, discarded (and deleted, for
-//! job files), and counted — the daemon then recomputes cold and rewrites.
+//! Both layers are write-through with atomic rename (write a temp file
+//! named uniquely per write, then rename), versioned, and checksummed: a
+//! truncated, bit-flipped, or version-skewed file is detected on load,
+//! discarded (and deleted, for job files), and counted — the daemon then
+//! recomputes cold and rewrites.
 //! Floats persist as `f64::to_bits` hex, so a round trip is bit-exact.
 //!
 //! [`JobSpec::cache_key`]: crate::JobSpec::cache_key
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use hsyn_rtl::AreaBreakdown;
 use hsyn_util::{content_key, Json};
@@ -77,12 +80,19 @@ impl DiskStore {
         self.root.join("area.json")
     }
 
-    /// Atomic write: `path.tmp` then rename over `path`. A crash mid-write
-    /// leaves either the old file or a stray `.tmp`, never a torn target.
+    /// Atomic write: a temp file named uniquely per write (process id and
+    /// a process-wide counter), then rename over `path`. Concurrent writers
+    /// never share a temp file, so each rename installs one writer's
+    /// complete bytes; a crash mid-write leaves either the old file or a
+    /// stray `.tmp`, never a torn target.
     fn write_atomic(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        let tmp = path.with_extension("json.tmp");
+        static WRITES: AtomicU64 = AtomicU64::new(0);
+        let n = WRITES.fetch_add(1, Ordering::Relaxed);
+        let tmp = path.with_extension(format!("json.{}.{n}.tmp", std::process::id()));
         fs::write(&tmp, bytes)?;
-        fs::rename(&tmp, path)
+        fs::rename(&tmp, path).inspect_err(|_| {
+            let _ = fs::remove_file(&tmp);
+        })
     }
 
     /// Look up a job by content key, validating version, key echo, and
@@ -154,15 +164,7 @@ impl DiskStore {
     ///
     /// Any filesystem write/rename failure.
     pub fn store_areas(&self, libs: &[(String, Vec<(u64, AreaBreakdown)>)]) -> io::Result<()> {
-        let mut lib_fields: Vec<(String, Json)> = Vec::new();
-        for (name, entries) in libs {
-            let arr: Vec<Json> = entries
-                .iter()
-                .map(|&(fp, a)| Json::Arr(vec![Json::Str(format!("{fp:016x}")), area_to_json(&a)]))
-                .collect();
-            lib_fields.push((name.clone(), Json::Arr(arr)));
-        }
-        let body = Json::Obj(lib_fields).to_string_pretty();
+        let body = render_areas(libs);
         let file = Json::Obj(vec![
             ("version".to_owned(), Json::Num(STORE_VERSION)),
             ("check".to_owned(), Json::Str(content_key(body.as_bytes()))),
@@ -222,15 +224,43 @@ fn validate_area_file(text: &str) -> Option<HashMap<String, Vec<(u64, AreaBreakd
 /// Hex-bits field order for [`AreaBreakdown`] persistence.
 const AREA_FIELDS: [&str; 7] = ["fu", "reg", "mux", "wire", "controller", "mem", "subs"];
 
-fn area_to_json(a: &AreaBreakdown) -> Json {
-    let vals = [a.fu, a.reg, a.mux, a.wire, a.controller, a.mem, a.subs];
-    Json::Obj(
-        AREA_FIELDS
-            .iter()
-            .zip(vals)
-            .map(|(k, v)| ((*k).to_owned(), Json::Str(format!("{:016x}", v.to_bits()))))
-            .collect(),
-    )
+/// The area store's `libs_text` body: a JSON object mapping each library
+/// name to its `[fingerprint, {field: bits}]` pairs, pretty-printed exactly
+/// as [`Json::to_string_pretty`] would print that tree. Written straight
+/// from the entries: a store of tens of thousands of entries would
+/// otherwise build as many transient `Json` trees on every write-through.
+fn render_areas(libs: &[(String, Vec<(u64, AreaBreakdown)>)]) -> String {
+    if libs.is_empty() {
+        return "{}".to_owned();
+    }
+    // Each entry renders to about 310 bytes.
+    const ENTRY_BYTES: usize = 320;
+    let entries: usize = libs.iter().map(|(_, e)| e.len()).sum();
+    let mut out = String::with_capacity(entries * ENTRY_BYTES + 64 * libs.len());
+    out.push_str("{\n");
+    for (i, (name, entries)) in libs.iter().enumerate() {
+        out.push_str("  ");
+        out.push_str(&Json::Str(name.clone()).to_string_pretty());
+        if entries.is_empty() {
+            out.push_str(": []");
+        } else {
+            out.push_str(": [\n");
+            for (j, (fp, a)) in entries.iter().enumerate() {
+                let _ = write!(out, "    [\n      \"{fp:016x}\",\n      {{\n");
+                let vals = [a.fu, a.reg, a.mux, a.wire, a.controller, a.mem, a.subs];
+                for (k, (key, v)) in AREA_FIELDS.iter().zip(vals).enumerate() {
+                    let sep = if k + 1 < AREA_FIELDS.len() { "," } else { "" };
+                    let _ = writeln!(out, "        \"{key}\": \"{:016x}\"{sep}", v.to_bits());
+                }
+                out.push_str("      }\n    ]");
+                out.push_str(if j + 1 < entries.len() { ",\n" } else { "\n" });
+            }
+            out.push_str("  ]");
+        }
+        out.push_str(if i + 1 < libs.len() { ",\n" } else { "\n" });
+    }
+    out.push('}');
+    out
 }
 
 fn area_from_json(v: &Json) -> Option<AreaBreakdown> {
@@ -342,6 +372,101 @@ mod tests {
         assert_eq!(discards, 1);
         // The poisoned file was deleted: the next load is a clean cold start.
         assert_eq!(store.load_areas().1, 0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The store's former rendering: one `Json` tree per entry.
+    fn render_areas_via_json(libs: &[(String, Vec<(u64, AreaBreakdown)>)]) -> String {
+        let area_to_json = |a: &AreaBreakdown| {
+            let vals = [a.fu, a.reg, a.mux, a.wire, a.controller, a.mem, a.subs];
+            Json::Obj(
+                AREA_FIELDS
+                    .iter()
+                    .zip(vals)
+                    .map(|(k, v)| ((*k).to_owned(), Json::Str(format!("{:016x}", v.to_bits()))))
+                    .collect(),
+            )
+        };
+        let lib_fields = libs
+            .iter()
+            .map(|(name, entries)| {
+                let arr = entries
+                    .iter()
+                    .map(|(fp, a)| {
+                        Json::Arr(vec![Json::Str(format!("{fp:016x}")), area_to_json(a)])
+                    })
+                    .collect();
+                (name.clone(), Json::Arr(arr))
+            })
+            .collect();
+        Json::Obj(lib_fields).to_string_pretty()
+    }
+
+    fn sample_entries(n: u64, salt: f64) -> Vec<(u64, AreaBreakdown)> {
+        (0..n)
+            .map(|i| {
+                let x = i as f64 * 0.7 + salt;
+                let a = AreaBreakdown {
+                    fu: x,
+                    reg: -x,
+                    mux: x / 3.0,
+                    wire: f64::MIN_POSITIVE * x,
+                    controller: 1e300,
+                    mem: 0.0,
+                    subs: -0.0,
+                };
+                (i.wrapping_mul(0x9e37_79b9_7f4a_7c15), a)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn direct_area_rendering_matches_the_json_tree() {
+        let libs = [
+            ("empty".to_owned(), Vec::new()),
+            ("realistic".to_owned(), sample_entries(5, 0.1)),
+            ("table \"1\"".to_owned(), sample_entries(1, 2.5)),
+        ];
+        for cut in 0..=libs.len() {
+            let libs = &libs[..cut];
+            assert_eq!(
+                render_areas(libs),
+                render_areas_via_json(libs),
+                "{cut} libraries"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_area_writes_leave_a_loadable_file() {
+        let dir = tmp_dir("area-race");
+        let store = DiskStore::open(&dir).unwrap();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2u64 {
+                let (store, start) = (&store, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..20 {
+                        let libs = vec![(
+                            "realistic".to_owned(),
+                            sample_entries(200 + round, t as f64),
+                        )];
+                        store.store_areas(&libs).unwrap();
+                    }
+                });
+            }
+        });
+        let (libs, discards) = store.load_areas();
+        assert_eq!(discards, 0);
+        assert_eq!(libs["realistic"].len(), 219);
+        // No temp file is left behind.
+        let stray: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(stray.is_empty(), "{stray:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1053,6 +1053,19 @@ fn synth_main(args: Vec<String>) -> ExitCode {
         }
         println!("{line}");
     }
+    println!(
+        "resynth memo        : {} hits, {} misses",
+        report
+            .per_config
+            .iter()
+            .map(|c| c.resynth_memo_hits)
+            .sum::<u64>(),
+        report
+            .per_config
+            .iter()
+            .map(|c| c.resynth_memo_misses)
+            .sum::<u64>()
+    );
     if transactional {
         let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
         println!(

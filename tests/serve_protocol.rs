@@ -175,3 +175,26 @@ fn submit_rejections_name_the_offending_field() {
     client.shutdown().expect("shutdown");
     handle.join().expect("daemon thread");
 }
+
+#[test]
+fn run_returns_after_shutdown_while_an_idle_client_holds_a_connection() {
+    let (addr, handle) = start_server(ServeOptions::default());
+    // An accepted connection that stays open and silent through shutdown.
+    let mut idle = raw(&addr);
+    write_frame(&mut idle, br#"{"type": "ping", "seq": 1}"#).unwrap();
+    assert_eq!(
+        response(&mut idle).get("type").and_then(Json::as_str),
+        Some("pong")
+    );
+    let mut client = Client::connect(&addr.to_string()).expect("connect");
+    client.shutdown().expect("shutdown");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join().expect("daemon thread");
+        let _ = done_tx.send(());
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("Server::run returns while the idle client is still connected");
+    drop(idle);
+}
