@@ -13,13 +13,7 @@
 //! reports are byte-identical through `result_json()`, and reports the
 //! cache traffic and the speedup.
 //!
-//! Part 3 synthesizes dct in both objectives with
-//! [`SynthesisConfig::transactional`] off (clone the design per candidate)
-//! and on (speculate in place, roll back through the undo journal), asserts
-//! byte-identity the same way, and reports the apply-layer and end-to-end
-//! speedups plus the journal traffic.
-//!
-//! Part 4 covers the data-oriented layers: an adjacency micro-benchmark
+//! Part 3 covers the data-oriented layers: an adjacency micro-benchmark
 //! (the `*_scan` linear-scan reference accessors vs the CSR index, same
 //! checksum required), and intra-config candidate parallelism
 //! ([`SynthesisConfig::intra_parallelism`]) at 1, 2, and 4 workers on dct
@@ -28,7 +22,7 @@
 //! 1.3× speedup at 4 workers. On a single-core host the determinism
 //! asserts still run; only the speedup gate is disarmed.
 //!
-//! Part 5 measures what the large-neighborhood-search layer
+//! Part 4 measures what the large-neighborhood-search layer
 //! ([`SynthesisConfig::lns_iters`]) buys at equal wall-clock on dct and
 //! iir at both objectives: the baseline pass loop is handed a pass budget
 //! far past its convergence point and must flatline (same final cost,
@@ -95,68 +89,6 @@ fn run_incremental(incremental: bool) -> (SynthesisReport, f64) {
     let t = Instant::now();
     let report = synthesize(&b.hierarchy, &mlib, &cfg).expect("dct synthesizes");
     (report, t.elapsed().as_secs_f64())
-}
-
-/// Synthesize dct with the transactional move engine on or off, returning
-/// the report and the wall-clock. Same isolation choices as
-/// [`run_incremental`]: no move-*B* recursion, serial sweep.
-fn run_transactional(objective: Objective, transactional: bool) -> (SynthesisReport, f64) {
-    let b = hsyn_dfg::benchmarks::dct();
-    let mlib = benchmark_library(&b);
-    let sweep = SweepConfig {
-        resynth_depth: 0,
-        ..SweepConfig::default()
-    };
-    let mut cfg = sweep.to_config(objective, true, 2.2);
-    cfg.parallelism = Some(1);
-    cfg.transactional = transactional;
-    let t = Instant::now();
-    let report = synthesize(&b.hierarchy, &mlib, &cfg).expect("dct synthesizes");
-    (report, t.elapsed().as_secs_f64())
-}
-
-/// One objective's transactional-vs-clone measurement, printed and rendered
-/// as a JSON object.
-fn transactional_cell(objective: Objective) -> Json {
-    let name = match objective {
-        Objective::Area => "area",
-        Objective::Power => "power",
-    };
-    let _ = run_transactional(objective, false); // warm-up
-    let (clone_report, clone_s) = run_transactional(objective, false);
-    let (tx_report, tx_s) = run_transactional(objective, true);
-    assert_eq!(
-        clone_report.result_json(),
-        tx_report.result_json(),
-        "transactional move engine changed the {name} synthesis result"
-    );
-    let clone_apply: f64 = clone_report.per_config.iter().map(|c| c.apply_s).sum();
-    let tx_apply: f64 = tx_report.per_config.iter().map(|c| c.apply_s).sum();
-    // Two speedups again: the apply layer itself (clone+rebuild per
-    // candidate vs in-place edit + journal replay), and end-to-end
-    // synthesis (diluted by evaluation, which both modes pay identically).
-    let apply_speedup = clone_apply / tx_apply.max(1e-12);
-    let synth_speedup = clone_s / tx_s.max(1e-12);
-    let rolled_back = tx_report.stats.moves_rolled_back;
-    let undo_peak = tx_report.stats.undo_bytes_peak;
-    println!("dct {name}:");
-    println!("  clone-per-candidate: {clone_s:>8.3} s synthesis, {clone_apply:>8.3} s applying");
-    println!("  transactional:       {tx_s:>8.3} s synthesis, {tx_apply:>8.3} s applying");
-    println!("  apply speedup: {apply_speedup:.2}x   synthesis speedup: {synth_speedup:.2}x");
-    println!("  rolled back {rolled_back} moves, undo journal peak {undo_peak} bytes");
-    println!("  reports byte-identical: yes");
-    Json::Obj(vec![
-        ("objective".into(), Json::Str(name.into())),
-        ("apply_clone_s".into(), Json::Num(clone_apply)),
-        ("apply_transactional_s".into(), Json::Num(tx_apply)),
-        ("apply_speedup".into(), Json::Num(apply_speedup)),
-        ("synth_clone_s".into(), Json::Num(clone_s)),
-        ("synth_transactional_s".into(), Json::Num(tx_s)),
-        ("synth_speedup".into(), Json::Num(synth_speedup)),
-        ("moves_rolled_back".into(), Json::Num(rolled_back as f64)),
-        ("undo_bytes_peak".into(), Json::Num(undo_peak as f64)),
-        ("identical".into(), Json::Bool(true)),
-    ])
 }
 
 /// Walk every node's fan-in, fan-out, and port-0 driver, folding edge ids
@@ -289,7 +221,7 @@ fn intra_cell(name: &str, cores: usize) -> Json {
     ])
 }
 
-/// LNS refinement budget for the part-5 cells.
+/// LNS refinement budget for the part-4 cells.
 const LNS_ITERS: usize = 64;
 
 /// Synthesize one benchmark under a tight pass budget with an LNS
@@ -327,7 +259,7 @@ fn run_lns(
     (report, t.elapsed().as_secs_f64())
 }
 
-/// One benchmark × objective cell of the part-5 measurement: the
+/// One benchmark × objective cell of the part-4 measurement: the
 /// equal-wall-clock comparison of final cost with and without LNS.
 fn lns_cell(name: &str, objective: Objective) -> Json {
     let obj_name = match objective {
@@ -448,13 +380,6 @@ fn main() {
     println!("reports byte-identical: yes");
 
     println!();
-    println!("transactional_speedup: dct, clone-per-candidate vs in-place apply+rollback");
-    let tx_cells = vec![
-        transactional_cell(Objective::Area),
-        transactional_cell(Objective::Power),
-    ];
-
-    println!();
     println!("data_oriented: CSR adjacency and the intra-config candidate scan");
     let adjacency = adjacency_micro();
     let intra_cells = vec![intra_cell("dct", cores), intra_cell("iir", cores)];
@@ -495,13 +420,6 @@ fn main() {
                 ("eval_cache_hits".into(), Json::Num(hits as f64)),
                 ("eval_cache_misses".into(), Json::Num(misses as f64)),
                 ("identical".into(), Json::Bool(true)),
-            ]),
-        ),
-        (
-            "transactional".into(),
-            Json::Obj(vec![
-                ("benchmark".into(), Json::Str("dct".into())),
-                ("cells".into(), Json::Arr(tx_cells)),
             ]),
         ),
         (

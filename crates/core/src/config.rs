@@ -70,15 +70,15 @@ pub struct SynthesisConfig {
     pub parallelism: Option<usize>,
     /// Worker threads for candidate evaluation *inside* one `(Vdd, clk)`
     /// configuration: each improvement step speculates its candidate moves
-    /// concurrently, every worker on its own transactional replica of the
-    /// shared base design, and the winner is selected by a sequential
-    /// replay in candidate order. `1` (the default) keeps the scan fully
-    /// serial; `0` means one worker per available core. Requires
-    /// [`transactional`](Self::transactional) mode — the scan stays serial
-    /// without it. Results are **identical** for every setting: the replay
-    /// re-imposes the serial scan's budgets, winner tiebreak, and stats,
-    /// so intra-config parallelism changes wall-clock only, never the
-    /// report (enforced by `tests/intra_determinism.rs`).
+    /// concurrently, every worker on its own replica of the shared base
+    /// design (speculating in place and undoing through its own
+    /// [`UndoLog`](crate::UndoLog)), and the winner is selected by a
+    /// sequential replay in candidate order. `1` (the default) keeps the
+    /// scan fully serial; `0` means one worker per available core. Results
+    /// are **identical** for every setting: the replay re-imposes the
+    /// serial scan's budgets, winner tiebreak, and stats, so intra-config
+    /// parallelism changes wall-clock only, never the report (enforced by
+    /// `tests/intra_determinism.rs`).
     pub intra_parallelism: usize,
     /// Run the cross-layer IR verifier (`hsyn-lint`) on the design after
     /// every accepted move and at each `(Vdd, clk)` configuration boundary,
@@ -103,17 +103,6 @@ pub struct SynthesisConfig {
     /// debugging/CI mode — slower than either pure mode — that turns the
     /// cache-exactness contract into a runtime assertion.
     pub shadow_eval: bool,
-    /// Transactional move application (on by default): candidates are
-    /// speculated **in place** on the one live design and undone by
-    /// replaying an undo journal (see [`UndoLog`](crate::UndoLog)), instead
-    /// of cloning the whole design per candidate. **Bit-exact** with the
-    /// clone-per-candidate path — the report is byte-identical with the
-    /// flag off; only wall-clock and memory change. Rollback traffic is
-    /// surfaced in
-    /// [`MoveStats::moves_rolled_back`](crate::MoveStats::moves_rolled_back)
-    /// and
-    /// [`MoveStats::undo_bytes_peak`](crate::MoveStats::undo_bytes_peak).
-    pub transactional: bool,
     /// Large-neighborhood search iterations appended after the KL-style
     /// pass loop of each `(Vdd, clk)` configuration (0, the default,
     /// disables the layer). Each iteration ruins a seeded-random region of
@@ -183,7 +172,6 @@ impl SynthesisConfig {
             paranoid: false,
             incremental: true,
             shadow_eval: false,
-            transactional: true,
             lns_iters: 0,
             cosim_check: false,
             cancel: None,

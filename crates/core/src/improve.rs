@@ -8,8 +8,7 @@ use crate::config::SynthesisConfig;
 use crate::cost::{evaluate_search, evaluate_search_cached, Evaluation, Objective};
 use crate::design::{initial_module_with_window, ChildKind, DesignPoint, OperatingPoint};
 use crate::moves::{
-    apply_in_place, apply_tracked, selection_candidates, sharing_candidates, splitting_candidates,
-    Candidate, Move,
+    apply_in_place, selection_candidates, sharing_candidates, splitting_candidates, Candidate, Move,
 };
 use crate::transact::{UndoLog, UndoMark};
 use hsyn_dfg::{DfgId, Hierarchy, NodeKind};
@@ -105,13 +104,12 @@ pub struct MoveStats {
     pub eval_cache_misses: u64,
     /// Move applications undone by replaying the undo journal — every
     /// speculated candidate plus every pass step beyond the committed
-    /// prefix; 0 with [`SynthesisConfig::transactional`] off (clone mode
-    /// discards copies instead of rolling back).
+    /// prefix.
     pub moves_rolled_back: u64,
     /// Peak approximate byte footprint of the undo journal (see
-    /// [`UndoLog::bytes_peak`](crate::UndoLog::bytes_peak)); 0 with
-    /// [`SynthesisConfig::transactional`] off. Aggregated by `max`, not
-    /// sum, in [`absorb`](Self::absorb) — it is a high-water mark.
+    /// [`UndoLog::bytes_peak`](crate::UndoLog::bytes_peak)). Aggregated by
+    /// `max`, not sum, in [`absorb`](Self::absorb) — it is a high-water
+    /// mark.
     pub undo_bytes_peak: u64,
     /// Large-neighborhood ruin→recreate iterations that actually destroyed
     /// a region (see [`SynthesisConfig::lns_iters`]); 0 with the LNS layer
@@ -331,12 +329,9 @@ impl Frontier {
 pub(crate) struct Applied {
     pub(crate) gain: f64,
     pub(crate) mv: Move,
-    /// Clone mode: the fully rebuilt candidate design. `None` on the
-    /// transactional path, where the winner is re-applied in place.
-    pub(crate) dp: Option<DesignPoint>,
-    /// Transactional path, move *B* only: the resynthesized implementation,
-    /// kept so re-applying the winner does not re-run (and re-account)
-    /// the recursive resynthesis.
+    /// Move *B* only: the resynthesized implementation, kept so re-applying
+    /// the winner (the scan rolled it back) does not re-run (and
+    /// re-account) the recursive resynthesis.
     pub(crate) resynth: Option<ChildKind>,
     /// Fingerprint tree of the candidate's build (present iff caching is
     /// active).
@@ -363,9 +358,9 @@ pub(crate) struct Engine<'a> {
     pub eval_full_s: f64,
     /// Wall-clock spent in cache-aware search evaluations, seconds.
     pub eval_incr_s: f64,
-    /// Wall-clock spent applying moves, seconds: clone + rebuild in clone
-    /// mode; in-place apply + rollback + winner re-apply in transactional
-    /// mode. Like `verify_s`, kept off `MoveStats` so the stats stay `Eq`.
+    /// Wall-clock spent applying moves, seconds: in-place apply, rollback
+    /// and winner re-apply. Like `verify_s`, kept off `MoveStats` so the
+    /// stats stay `Eq`.
     pub apply_s: f64,
     /// Wall-clock spent in large-neighborhood ruin→recreate refinement,
     /// seconds (0 with [`SynthesisConfig::lns_iters`] at 0). Like
@@ -515,58 +510,16 @@ impl<'a> Engine<'a> {
         incr
     }
 
-    /// Apply + evaluate one candidate on a *clone*; `None` if invalid.
-    /// `cur_fp` is the fingerprint tree of `dp` (present iff caching is
-    /// active); the candidate's tree is derived from it by
-    /// re-fingerprinting only the move's dirty subtree and recombining its
-    /// ancestors.
-    fn try_move(
-        &mut self,
-        dp: &DesignPoint,
-        cur_fp: Option<&FpTree>,
-        mv: &Move,
-    ) -> Option<(DesignPoint, Option<FpTree>, Evaluation)> {
-        let depth = self.depth;
-        // Move B recursion is routed through a closure so `apply` stays a
-        // pure structural edit everywhere else.
-        let mut resynth_result: Option<ChildKind> = None;
-        if let Move::ResynthChild { path, child } = mv {
-            if depth == 0 {
-                return None;
-            }
-            resynth_result = self.resynthesize_child(dp, path, *child);
-            resynth_result.as_ref()?;
-        }
-        let t0 = Instant::now();
-        let outcome = apply_tracked(dp, mv, self.mlib, &mut |_, _, _| resynth_result.take());
-        self.apply_s += t0.elapsed().as_secs_f64();
-        match outcome {
-            Ok((new, dirty)) => {
-                self.stats.evaluated += 1;
-                let fp = cur_fp.map(|old| {
-                    refresh_fingerprint_tree(&new.hierarchy, &new.top.built, old, &dirty)
-                });
-                let eval = self.eval(&new, fp.as_ref(), Some(mv));
-                Some((new, fp, eval))
-            }
-            Err(_) => {
-                self.stats.rejected += 1;
-                None
-            }
-        }
-    }
-
-    /// [`try_move`](Self::try_move) on the transactional path: speculate
-    /// the move **in place** on the live design, evaluate, then roll the
-    /// journal back — `dp` is bit-identical to its pre-call state on
-    /// return, success or failure. Returns the resynthesized child
+    /// Apply + evaluate one candidate: speculate the move **in place** on
+    /// the live design, evaluate, then roll the journal back — `dp` is
+    /// bit-identical to its pre-call state on return, success or failure;
+    /// `None` if the move is invalid. `cur_fp` is the fingerprint tree of
+    /// `dp` (present iff caching is active); the candidate's tree is
+    /// derived from it by re-fingerprinting only the move's dirty subtree
+    /// and recombining its ancestors. Returns the resynthesized child
     /// implementation (move *B* only; re-applying the winner must not
     /// re-run resynthesis), the candidate's fingerprint tree, and its
     /// evaluation.
-    ///
-    /// Validation, evaluation order, stats accounting and cache traffic are
-    /// bit-identical to the clone path — the two differ in wall-clock and
-    /// allocation only.
     fn try_move_tx(
         &mut self,
         dp: &mut DesignPoint,
@@ -624,10 +577,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Evaluate the top candidates by heuristic score and return the best
-    /// by true gain (possibly negative). With `undo` present, candidates
-    /// are speculated in place through the journal (transactional mode);
-    /// with `undo` absent each candidate is applied to a clone. Either way
-    /// `dp` is unchanged on return.
+    /// by true gain (possibly negative). Candidates are speculated in place
+    /// through `undo` and rolled back, so `dp` and the journal are
+    /// unchanged on return.
     ///
     /// Rejections and evaluations are budgeted separately: up to
     /// `candidate_limit` candidates are fully evaluated, and the scan stops
@@ -640,12 +592,11 @@ impl<'a> Engine<'a> {
         cur_fp: Option<&FpTree>,
         base_cost: f64,
         mut cands: Vec<Candidate>,
-        mut undo: Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Option<Applied> {
         cands.sort_by(|a, b| b.0.total_cmp(&a.0));
-        // Transactional scans can fan the speculation out across worker
-        // threads; the clone path and single-threaded scans stay serial.
-        if undo.is_some() && cands.len() > 1 {
+        // The scan can fan the speculation out across worker threads.
+        if cands.len() > 1 {
             let workers = self.intra_workers();
             if workers > 1 {
                 return self.best_from_parallel(dp, cur_fp, base_cost, cands, workers);
@@ -660,28 +611,15 @@ impl<'a> Engine<'a> {
             {
                 break;
             }
-            let applied = match undo.as_deref_mut() {
-                Some(log) => self
-                    .try_move_tx(dp, cur_fp, &mv, log)
-                    .map(|(resynth, fp, eval)| Applied {
-                        gain: base_cost - eval.cost,
-                        mv,
-                        dp: None,
-                        resynth,
-                        fp,
-                        eval,
-                    }),
-                None => self
-                    .try_move(dp, cur_fp, &mv)
-                    .map(|(new, fp, eval)| Applied {
-                        gain: base_cost - eval.cost,
-                        mv,
-                        dp: Some(new),
-                        resynth: None,
-                        fp,
-                        eval,
-                    }),
-            };
+            let applied = self
+                .try_move_tx(dp, cur_fp, &mv, undo)
+                .map(|(resynth, fp, eval)| Applied {
+                    gain: base_cost - eval.cost,
+                    mv,
+                    resynth,
+                    fp,
+                    eval,
+                });
             match applied {
                 Some(a) => {
                     evaluated += 1;
@@ -695,7 +633,7 @@ impl<'a> Engine<'a> {
         best
     }
 
-    /// The intra-config parallel candidate scan (transactional mode only).
+    /// The intra-config parallel candidate scan.
     ///
     /// Up to `workers` threads claim candidates from the sorted list
     /// through an atomic counter; each worker speculates on its **own**
@@ -830,7 +768,6 @@ impl<'a> Engine<'a> {
                     let a = Applied {
                         gain,
                         mv,
-                        dp: None,
                         resynth,
                         fp,
                         eval,
@@ -851,7 +788,7 @@ impl<'a> Engine<'a> {
         dp: &mut DesignPoint,
         cur_fp: Option<&FpTree>,
         base_cost: f64,
-        undo: Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Option<Applied> {
         let families = self.config.moves;
         if !families.a && !families.b {
@@ -877,12 +814,12 @@ impl<'a> Engine<'a> {
         dp: &mut DesignPoint,
         cur_fp: Option<&FpTree>,
         base_cost: f64,
-        mut undo: Option<&mut UndoLog>,
+        undo: &mut UndoLog,
     ) -> Option<Applied> {
         let families = self.config.moves;
         let sharing = if families.c {
             let cands = sharing_candidates(dp, self.mlib, self.objective());
-            self.best_from(dp, cur_fp, base_cost, cands, undo.as_deref_mut())
+            self.best_from(dp, cur_fp, base_cost, cands, undo)
         } else {
             None
         };
@@ -904,14 +841,9 @@ impl<'a> Engine<'a> {
     }
 
     /// One full variable-depth optimization of `initial` at its operating
-    /// point (Figure 4 lines 3–16). Returns the best design seen.
-    ///
-    /// Dispatches on [`SynthesisConfig::transactional`]: the transactional
-    /// path speculates moves in place through an undo journal; the clone
-    /// path copies the design per candidate. The two searches are
-    /// bit-identical — same candidates, same evaluations in the same order,
-    /// same stats, same result — differing only in wall-clock and
-    /// allocation (see `tests/undo_rollback.rs`).
+    /// point (Figure 4 lines 3–16), then LNS refinement when
+    /// [`SynthesisConfig::lns_iters`] asks for it. Returns the best design
+    /// seen.
     ///
     /// # Errors
     ///
@@ -922,11 +854,7 @@ impl<'a> Engine<'a> {
         &mut self,
         initial: DesignPoint,
     ) -> Result<(DesignPoint, Evaluation), Abort> {
-        let (dp, eval) = if self.config.transactional {
-            self.optimize_transactional(initial)
-        } else {
-            self.optimize_cloning(initial)
-        }?;
+        let (dp, eval) = self.optimize_transactional(initial)?;
         if self.config.lns_iters == 0 {
             return Ok((dp, eval));
         }
@@ -936,82 +864,12 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// The clone-per-candidate search loop (kept as the
-    /// `--no-transactional` escape hatch and the differential baseline).
-    fn optimize_cloning(
-        &mut self,
-        initial: DesignPoint,
-    ) -> Result<(DesignPoint, Evaluation), Abort> {
-        self.paranoid_check(&initial, None)?;
-        let mut cur = initial;
-        let mut cur_fp = self
-            .caching()
-            .then(|| fingerprint_tree(&cur.hierarchy, &cur.top.built));
-        let mut cur_eval = self.eval(&cur, cur_fp.as_ref(), None);
-        let mut best = cur.clone();
-        let mut best_eval = cur_eval;
-
-        let op_count = cur.hierarchy.dfg(cur.top.core.dfg).schedulable_count();
-        let max_moves = self
-            .config
-            .max_moves_per_pass
-            .unwrap_or_else(|| (op_count / 2).clamp(8, 40));
-
-        for _pass in 0..self.config.max_passes {
-            self.check_cancel()?;
-            self.stats.passes += 1;
-            let mut states: Vec<(DesignPoint, Evaluation, Option<FpTree>)> =
-                vec![(cur.clone(), cur_eval, cur_fp.clone())];
-            let mut seq_moves: Vec<Move> = Vec::new();
-            for _ in 0..max_moves {
-                self.check_cancel()?;
-                let (work, work_eval, work_fp) = states.last_mut().expect("non-empty");
-                let base = work_eval.cost;
-                let work_fp = work_fp.as_ref();
-                let m1 = self.best_ab(work, work_fp, base, None);
-                let m3 = self.best_cd(work, work_fp, base, None);
-                let chosen = match (m1, m3) {
-                    (Some(a), Some(b)) => Some(if a.gain >= b.gain { a } else { b }),
-                    (a, b) => a.or(b),
-                };
-                let Some(chosen) = chosen else { break };
-                let chosen_dp = chosen.dp.expect("clone path carries the candidate design");
-                self.paranoid_check(&chosen_dp, Some(&chosen.mv))?;
-                seq_moves.push(chosen.mv);
-                states.push((chosen_dp, chosen.eval, chosen.fp));
-            }
-            // Commit the best-cumulative-gain prefix.
-            let (best_idx, _) = states
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.1.cost.total_cmp(&b.1.cost))
-                .expect("non-empty");
-            let pass_gain = states[0].1.cost - states[best_idx].1.cost;
-            if best_idx == 0 || pass_gain <= 1e-9 {
-                break;
-            }
-            for mv in &seq_moves[..best_idx] {
-                self.stats.record(mv);
-            }
-            let (committed, committed_eval, committed_fp) = states.swap_remove(best_idx);
-            cur = committed;
-            cur_eval = committed_eval;
-            cur_fp = committed_fp;
-            if cur_eval.cost < best_eval.cost {
-                best = cur.clone();
-                best_eval = cur_eval;
-            }
-        }
-        Ok((best, best_eval))
-    }
-
-    /// The transactional search loop: one live design, mutated in place.
+    /// The search loop: one live design, mutated in place.
     ///
     /// Per step, every candidate is speculated and rolled back inside the
     /// pass journal ([`Engine::try_move_tx`]); the winner is then
     /// re-applied (reusing its saved move-*B* implementation, so recursive
-    /// resynthesis runs exactly once per evaluation, as in clone mode).
-    /// The per-step clone history of the clone path collapses to
+    /// resynthesis runs exactly once per evaluation). The pass history is
     /// `(Evaluation, FpTree)` pairs plus journal marks: committing the
     /// best-cumulative-gain prefix = rolling the journal back to the mark
     /// taken before the first rejected step.
@@ -1047,8 +905,8 @@ impl<'a> Engine<'a> {
                 self.check_cancel()?;
                 let (work_eval, work_fp) = history.last().expect("non-empty");
                 let base = work_eval.cost;
-                let m1 = self.best_ab(&mut cur, work_fp.as_ref(), base, Some(&mut log));
-                let m3 = self.best_cd(&mut cur, work_fp.as_ref(), base, Some(&mut log));
+                let m1 = self.best_ab(&mut cur, work_fp.as_ref(), base, &mut log);
+                let m3 = self.best_cd(&mut cur, work_fp.as_ref(), base, &mut log);
                 let chosen = match (m1, m3) {
                     (Some(a), Some(b)) => Some(if a.gain >= b.gain { a } else { b }),
                     (a, b) => a.or(b),
@@ -1371,7 +1229,7 @@ mod tests {
         let mut config = SynthesisConfig::new(Objective::Area);
         config.candidate_limit = 2;
         config.incremental = false;
-        let mut engine = Engine::new(&mlib, &config, traces.clone(), 0);
+        let mut engine = Engine::new(&mlib, &config, traces, 0);
         let base = engine.eval(&dp, None, None);
         // Group 999 does not exist, so these nine are rejected by `apply`;
         // RepackRegs is valid (the initial register policy is dedicated).
@@ -1388,25 +1246,15 @@ mod tests {
             ));
         }
         cands.push((1.0, Move::RepackRegs { path: vec![] }));
-        let best = engine.best_from(&mut dp, None, base.cost, cands.clone(), None);
+        let mut log = UndoLog::new();
+        let best = engine.best_from(&mut dp, None, base.cost, cands, &mut log);
         assert!(best.is_some(), "a valid candidate must be found");
         assert_eq!(
             (engine.stats.evaluated, engine.stats.rejected),
             (2, 9),
             "both valid candidates must be evaluated despite nine rejections"
         );
-        // The transactional scan obeys the identical budgets — and leaves
-        // both the journal and the design untouched behind it.
-        let mut tx_engine = Engine::new(&mlib, &config, traces, 0);
-        let mut log = UndoLog::new();
-        let tx_best = tx_engine.best_from(&mut dp, None, base.cost, cands, Some(&mut log));
-        assert!(tx_best.is_some());
-        assert_eq!(
-            (tx_engine.stats.evaluated, tx_engine.stats.rejected),
-            (2, 9),
-            "transactional scan must replicate the clone-path budgets"
-        );
-        assert_eq!(tx_engine.stats.moves_rolled_back, 2);
+        assert_eq!(engine.stats.moves_rolled_back, 2);
         assert!(log.is_empty(), "scan must roll every speculation back");
     }
 

@@ -67,7 +67,7 @@ pub use fuzz::{fuzz_cosim, FuzzCoverage, FuzzDivergence, FuzzParams, FuzzReport}
 pub use improve::{MoveStats, ParanoidViolation};
 pub use lns::{plan_ruin, ruin_region, Portfolio, RuinKind};
 pub use moves::{
-    apply, apply_in_place, apply_tracked, dirty_path, selection_candidates, sharing_candidates,
+    apply, apply_in_place, dirty_path, selection_candidates, sharing_candidates,
     splitting_candidates, ApplyError, ModulePath, Move,
 };
 pub use synth::{

@@ -460,10 +460,9 @@ impl<'a> Engine<'a> {
     /// The ruin-and-recreate refinement appended after the pass loop when
     /// [`SynthesisConfig::lns_iters`](crate::SynthesisConfig::lns_iters) is
     /// positive (see this module's docs — this is the tentpole loop).
-    /// Always drives the transactional journal, regardless
-    /// of [`SynthesisConfig::transactional`](crate::SynthesisConfig::transactional):
-    /// ruin and recreate are exactly the nested-speculation shape the
-    /// journal exists for.
+    /// Each ruin→recreate cycle runs inside one undo-journal transaction,
+    /// with the recreate steps' speculations nested in it: exactly the
+    /// nested-speculation shape the journal exists for.
     ///
     /// # Errors
     ///
@@ -562,8 +561,7 @@ impl<'a> Engine<'a> {
                             portfolio.reward(f, 0.0);
                             continue;
                         }
-                        let Some(won) =
-                            self.best_from(dp, work_fp.as_ref(), base, cands, Some(log))
+                        let Some(won) = self.best_from(dp, work_fp.as_ref(), base, cands, log)
                         else {
                             portfolio.reward(f, 0.0);
                             continue;
@@ -588,7 +586,6 @@ impl<'a> Engine<'a> {
                         resynth,
                         fp: won_fp,
                         eval,
-                        ..
                     } = won;
                     let mut saved = resynth;
                     apply_in_place(dp, &mv, self.mlib, &mut |_, _, _| saved.take(), log)

@@ -118,9 +118,8 @@ pub struct ConfigTelemetry {
     /// Wall-clock spent in cache-aware search evaluations, seconds (0 with
     /// incremental evaluation off).
     pub eval_incr_s: f64,
-    /// Wall-clock spent applying moves, seconds: clone + rebuild with
-    /// [`SynthesisConfig::transactional`] off, in-place apply + rollback +
-    /// winner re-apply with it on.
+    /// Wall-clock spent applying moves, seconds: in-place apply, rollback
+    /// and winner re-apply.
     pub apply_s: f64,
     /// Wall-clock spent in large-neighborhood ruin→recreate refinement,
     /// seconds — 0 with [`SynthesisConfig::lns_iters`] at 0.

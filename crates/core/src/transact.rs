@@ -1,7 +1,7 @@
 //! The transactional move engine's undo journal.
 //!
 //! Candidate evaluation used to clone the whole [`DesignPoint`] per
-//! candidate (O(design size) per move). The transactional path instead
+//! candidate (O(design size) per move). The move engine instead
 //! mutates the one live design in place and records the *inverse* of every
 //! edit here; a rejected candidate is restored by replaying the journal
 //! backwards (O(edit size)). See DESIGN.md, "Transaction invariants", for

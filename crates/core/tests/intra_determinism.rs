@@ -72,24 +72,3 @@ fn result_json_is_identical_at_1_2_4_workers() {
         }
     }
 }
-
-/// The knob is inert outside transactional mode: the clone-path scan stays
-/// serial, so a 4-worker request still matches the serial report byte for
-/// byte (rather than silently changing the search).
-#[test]
-fn clone_mode_ignores_the_intra_knob() {
-    let bench = benchmarks::paulin();
-    let mut mlib = ModuleLibrary::from_simple(table1_library());
-    mlib.equiv = bench.equiv.clone();
-    let mut serial = config(Objective::Area, 1);
-    serial.transactional = false;
-    let mut wide = config(Objective::Area, 4);
-    wide.transactional = false;
-    let a = synthesize(&bench.hierarchy, &mlib, &serial)
-        .unwrap()
-        .result_json();
-    let b = synthesize(&bench.hierarchy, &mlib, &wide)
-        .unwrap()
-        .result_json();
-    assert_eq!(a, b);
-}

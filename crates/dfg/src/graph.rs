@@ -696,17 +696,9 @@ impl Dfg {
     /// node" when substituting a library module that implements an
     /// equivalent DFG. The new callee must have the same input/output
     /// arities (callers ensure this via declared equivalence classes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is not a hierarchical node.
-    pub fn set_hier_callee(&mut self, node: NodeId, callee: DfgId) {
-        self.replace_hier_callee(node, callee);
-    }
-
-    /// [`set_hier_callee`](Self::set_hier_callee) returning the callee the
-    /// node invoked before — the undo record a transactional caller replays
-    /// to reverse the retarget (`replace_hier_callee(node, old)`).
+    /// Returns the callee the node invoked before — the undo record a
+    /// transactional caller replays to reverse the retarget
+    /// (`replace_hier_callee(node, old)`).
     ///
     /// # Panics
     ///
@@ -714,7 +706,7 @@ impl Dfg {
     pub fn replace_hier_callee(&mut self, node: NodeId, callee: DfgId) -> DfgId {
         match &mut self.nodes[node.index()].kind {
             NodeKind::Hier { callee: c } => std::mem::replace(c, callee),
-            other => panic!("set_hier_callee on non-hierarchical node {node} ({other:?})"),
+            other => panic!("replace_hier_callee on non-hierarchical node {node} ({other:?})"),
         }
     }
 

@@ -270,11 +270,13 @@ mod review_probe {
         let l = g.add_load(m, "l", k);
         g.add_output("y", l);
         let serial = mem_serial_edges(&g);
-        eprintln!("serial edges: {:?}", serial);
-        assert!(serial.contains(&(st, l.node)), "program order st->l");
+        assert!(
+            serial.contains(&(st, l.node)),
+            "program order st->l: {serial:?}"
+        );
         assert!(
             !serial.contains(&(l.node, st)),
-            "cyclic reverse edge present!"
+            "cyclic reverse edge present: {serial:?}"
         );
         let delay = |n: hsyn_dfg::NodeId| match g.node(n).kind() {
             NodeKind::Load { .. } | NodeKind::Store { .. } => NodeDelay::Pipelined { stages: 1 },

@@ -16,8 +16,6 @@
 //!                            using the per-module evaluation cache
 //!   --shadow-eval            run the full evaluation alongside every cached
 //!                            one and panic on the first bit-level divergence
-//!   --no-transactional       clone the design per candidate instead of
-//!                            speculating in place with an undo journal
 //!   --cosim-check            co-simulate every optimized configuration
 //!                            against the behavioral reference and skip
 //!                            configurations whose outputs diverge
@@ -33,7 +31,7 @@
 //!   --intra-jobs <n>         worker threads for the candidate scan inside
 //!                            each configuration; 0 = one per core
 //!                            (default: 1; results identical for every
-//!                            setting, transactional mode only)
+//!                            setting)
 //!   --result-json            print only the canonical deterministic report
 //!                            (what the serve differential suite compares)
 //!
@@ -116,10 +114,9 @@ fn usage() -> ExitCode {
         "usage: hsyn [<behavior.dfg> | --benchmark NAME] [--objective area|power]\n\
          \x20           [--laxity F] [--period NS]\n\
          \x20           [--library table1|realistic] [--flat] [--paranoid] [--netlist]\n\
-         \x20           [--no-incremental] [--shadow-eval] [--no-transactional]\n\
-         \x20           [--cosim-check] [--fsm] [--verilog FILE]\n\
-         \x20           [--dot FILE] [--power-report] [--seed N] [--parallel N]\n\
-         \x20           [--intra-jobs N] [--lns-iters N]\n\
+         \x20           [--no-incremental] [--shadow-eval] [--cosim-check] [--fsm]\n\
+         \x20           [--verilog FILE] [--dot FILE] [--power-report] [--seed N]\n\
+         \x20           [--parallel N] [--intra-jobs N] [--lns-iters N]\n\
          \x20      hsyn lint [<behavior.dfg> | --benchmark NAME | --all-benchmarks]\n\
          \x20           [--synthesize] [--objective area|power|both] [--laxity F]\n\
          \x20           [--library table1|realistic] [--allow CODE] [--json]\n\
@@ -780,7 +777,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     let mut paranoid = false;
     let mut incremental = true;
     let mut shadow_eval = false;
-    let mut transactional = true;
     let mut cosim_check = false;
     let mut lns_iters = 0usize;
     let mut result_json_only = false;
@@ -824,7 +820,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             "--paranoid" => paranoid = true,
             "--no-incremental" => incremental = false,
             "--shadow-eval" => shadow_eval = true,
-            "--no-transactional" => transactional = false,
             "--cosim-check" => cosim_check = true,
             "--netlist" => show_netlist = true,
             "--fsm" => show_fsm = true,
@@ -885,14 +880,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             "--shadow-eval conflicts with --no-incremental: shadow evaluation \
              exists to cross-check the incremental cache, which --no-incremental \
              disables"
-        );
-        return ExitCode::from(2);
-    }
-    if !transactional && intra_jobs.is_some_and(|n| n != 1) {
-        eprintln!(
-            "--no-transactional conflicts with --intra-jobs {}: the intra-config \
-             candidate scan requires transactional move application",
-            intra_jobs.unwrap_or(0)
         );
         return ExitCode::from(2);
     }
@@ -957,7 +944,6 @@ fn synth_main(args: Vec<String>) -> ExitCode {
     config.paranoid = paranoid;
     config.incremental = incremental;
     config.shadow_eval = shadow_eval;
-    config.transactional = transactional;
     config.cosim_check = cosim_check;
     config.lns_iters = lns_iters;
 
@@ -1066,14 +1052,12 @@ fn synth_main(args: Vec<String>) -> ExitCode {
             .map(|c| c.resynth_memo_misses)
             .sum::<u64>()
     );
-    if transactional {
-        let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
-        println!(
-            "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",
-            report.stats.moves_rolled_back,
-            format_bytes(report.stats.undo_bytes_peak),
-        );
-    }
+    let apply_s: f64 = report.per_config.iter().map(|c| c.apply_s).sum();
+    println!(
+        "move engine         : {} rolled back, {} undo-journal peak, {apply_s:.3}s applying",
+        report.stats.moves_rolled_back,
+        format_bytes(report.stats.undo_bytes_peak),
+    );
     if lns_iters > 0 {
         let lns_s: f64 = report.per_config.iter().map(|c| c.lns_s).sum();
         println!(

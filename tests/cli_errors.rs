@@ -72,33 +72,21 @@ fn conflicting_flags_are_rejected_with_an_explanation() {
         stderr.contains("--shadow-eval") && stderr.contains("--no-incremental"),
         "the error must name both flags: {stderr}"
     );
+}
 
-    // The parallel intra-config scan requires transactional application.
-    let (ok, stderr) = run(&[
-        "--benchmark",
-        "paulin",
-        "--no-transactional",
-        "--intra-jobs",
-        "2",
-    ]);
-    assert!(!ok, "--no-transactional --intra-jobs 2 must fail");
+#[test]
+fn retired_engine_flag_is_an_unknown_argument() {
+    // A retired flag is rejected like any other unknown argument, with
+    // the usage exit code, rather than silently ignored.
+    let out = Command::new(env!("CARGO_BIN_EXE_hsyn"))
+        .args(["--benchmark", "paulin", "--no-transactional"])
+        .output()
+        .expect("hsyn binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(
-        stderr.contains("--no-transactional") && stderr.contains("--intra-jobs"),
-        "the error must name both flags: {stderr}"
-    );
-
-    // --intra-jobs 1 is the serial default and conflicts with nothing.
-    let (ok, stderr) = run(&[
-        "--benchmark",
-        "nope",
-        "--no-transactional",
-        "--intra-jobs",
-        "1",
-    ]);
-    assert!(!ok, "fails on the bad benchmark, not the flags");
-    assert!(
-        stderr.contains("unknown benchmark"),
-        "flag check must not fire for the serial default: {stderr}"
+        stderr.contains("unknown argument `--no-transactional`"),
+        "{stderr}"
     );
 }
 

@@ -1,11 +1,11 @@
-//! Property tests for the transactional move engine: random move sequences
+//! Property tests for the move engine's undo journal: random move sequences
 //! speculated in place on random behaviors must roll back bit-exactly
 //! (the structural fingerprint of the whole design returns to its value at
-//! every journal mark), and full synthesis with the transactional engine
-//! must be byte-identical — through the canonical
-//! [`SynthesisReport::result_json`] rendering — to the clone-per-candidate
-//! path it replaces. Cases come from a fixed seed so failures reproduce
-//! exactly; set `HSYN_TEST_ITERS` to widen the sweep locally.
+//! every journal mark), and full synthesis with the rollback-validity and
+//! shadow-evaluation checks on must be byte-identical — through the
+//! canonical [`SynthesisReport::result_json`] rendering — to the default
+//! run. Cases come from a fixed seed so failures reproduce exactly; set
+//! `HSYN_TEST_ITERS` to widen the sweep locally.
 
 mod common;
 
@@ -120,10 +120,14 @@ fn random_move_sequences_roll_back_bit_exactly() {
     }
 }
 
-/// Full synthesis with the transactional engine is the same search with the
-/// same result as the clone-per-candidate path, compared byte-for-byte.
+/// Full synthesis under `paranoid` + `shadow_eval` is observation-only: the
+/// engine then asserts after every candidate rollback that the design's
+/// dirty-subtree fingerprint is back to its value before the move (and that
+/// every cached evaluation equals a full recomputation), on the serial scan
+/// and on every worker replica of the parallel one, and the report must
+/// still be byte-identical to the default run's.
 #[test]
-fn transactional_and_cloning_synthesis_are_byte_identical() {
+fn checked_synthesis_rolls_back_and_matches_the_default_run() {
     let mut rng = Rng::seed_from_u64(0x0BEA_70FF);
     for case in 0..test_iters(6) {
         let g = arb_behavior(&mut rng);
@@ -135,51 +139,45 @@ fn transactional_and_cloning_synthesis_are_byte_identical() {
         assert!(h.validate().is_ok());
         let mlib = ModuleLibrary::from_simple(table1_library());
 
-        let mut tx = SynthesisConfig::new(if objective_area {
+        let mut base = SynthesisConfig::new(if objective_area {
             Objective::Area
         } else {
             Objective::Power
         });
-        tx.laxity_factor = f64::from(laxity_pct) / 100.0;
-        tx.max_passes = 2;
-        tx.candidate_limit = 2;
-        tx.eval_trace_len = 8;
-        tx.report_trace_len = 16;
-        tx.max_clock_candidates = 2;
-        tx.resynth_depth = 0;
-        tx.transactional = true;
-        let mut clone = tx.clone();
-        clone.transactional = false;
+        base.laxity_factor = f64::from(laxity_pct) / 100.0;
+        base.max_passes = 2;
+        base.candidate_limit = 2;
+        base.eval_trace_len = 8;
+        base.report_trace_len = 16;
+        base.max_clock_candidates = 2;
+        base.resynth_depth = 0;
+        let r_base = synthesize(&h, &mlib, &base)
+            .unwrap_or_else(|e| panic!("case {case}: default synthesis failed: {e}"));
+        let j_base = r_base.result_json();
+        Json::parse(&j_base).expect("result_json parses");
 
-        let r_tx = synthesize(&h, &mlib, &tx)
-            .unwrap_or_else(|e| panic!("case {case}: transactional synthesis failed: {e}"));
-        let r_clone = synthesize(&h, &mlib, &clone)
-            .unwrap_or_else(|e| panic!("case {case}: cloning synthesis failed: {e}"));
-
-        let j_tx = r_tx.result_json();
-        let j_clone = r_clone.result_json();
-        Json::parse(&j_tx).expect("transactional result_json parses");
-        assert_eq!(
-            j_tx, j_clone,
-            "case {case}: transactional and cloning synthesis diverged"
-        );
-        // The transactional run really speculated in place…
-        assert!(
-            r_tx.stats.moves_rolled_back > 0,
-            "case {case}: transactional run journaled no rollbacks"
-        );
-        assert!(
-            r_tx.stats.undo_bytes_peak > 0,
-            "case {case}: transactional run accounted no journal bytes"
-        );
-        // …and the clone path never touches the journal.
-        assert_eq!(
-            (
-                r_clone.stats.moves_rolled_back,
-                r_clone.stats.undo_bytes_peak
-            ),
-            (0, 0),
-            "case {case}: cloning run must not journal"
-        );
+        for intra in [1, 2] {
+            let mut checked = base.clone();
+            checked.paranoid = true;
+            checked.shadow_eval = true;
+            checked.intra_parallelism = intra;
+            let r = synthesize(&h, &mlib, &checked).unwrap_or_else(|e| {
+                panic!("case {case}: checked synthesis (intra {intra}) failed: {e}")
+            });
+            assert_eq!(
+                r.result_json(),
+                j_base,
+                "case {case}: paranoid + shadow run (intra {intra}) diverged from the default"
+            );
+            // The run really speculated in place and rolled back.
+            assert!(
+                r.stats.moves_rolled_back > 0,
+                "case {case}: checked run (intra {intra}) journaled no rollbacks"
+            );
+            assert!(
+                r.stats.undo_bytes_peak > 0,
+                "case {case}: checked run (intra {intra}) accounted no journal bytes"
+            );
+        }
     }
 }
